@@ -133,9 +133,10 @@ BENCH_SCHEMA: dict[str, Any] = {
 }
 
 #: Sections newer harness versions emit that older committed trajectory
-#: points (e.g. BENCH_7.json, pre-adaptive) legitimately lack — plus
-#: host-dependent sections (transport needs POSIX shm; its e2e leg needs
-#: >= 2 cores). A missing optional section is fine; a present one is
+#: points (e.g. BENCH_7.json, pre-adaptive) legitimately lack — plus the
+#: historical ``transport`` section, which only BENCH_9.json carries (the
+#: harness no longer emits it since the shared-memory shard transport was
+#: removed). A missing optional section is fine; a present one is
 #: validated in full.
 OPTIONAL_SECTIONS = frozenset(
     {

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import pickle
 import sys
 import tempfile
 import time
@@ -36,7 +34,6 @@ from pathlib import Path
 from typing import Any, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.api import (  # noqa: E402  (sys.path bootstrap above)
     CacheConfig,
@@ -44,22 +41,7 @@ from repro.api import (  # noqa: E402  (sys.path bootstrap above)
     ProphetClient,
     SamplingConfig,
 )
-from repro.core.engine import ProphetConfig  # noqa: E402
 from repro.core.rounds import max_ci_halfwidth  # noqa: E402
-from repro.serve import (  # noqa: E402
-    EngineSpec,
-    EvaluationService,
-    InlineExecutor,
-    ProcessExecutor,
-    TransportConfig,
-    shm_available,
-)
-from transport_ops import (  # noqa: E402
-    generation_payload,
-    ship_pickle,
-    ship_shm,
-    synthetic_snapshot,
-)
 
 #: The PR number this harness stamps into the output (and the filename).
 PR_NUMBER = 9
@@ -313,160 +295,6 @@ def bench_adaptive_sweep(n_worlds: int, points_limit: Optional[int]) -> dict[str
     }
 
 
-class _RecordingExecutor(InlineExecutor):
-    """Inline execution that records each task's pickled size.
-
-    ``kind = "process"`` routes the service down the real fan-out path
-    (shard tasks, snapshot shipping) while the tasks still run in-process,
-    so the recorded bytes are exactly what a pool worker would receive.
-    """
-
-    kind = "process"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.task_bytes: list[int] = []
-
-    def submit(self, fn, *args):
-        self.task_bytes.append(
-            len(pickle.dumps((fn, args), protocol=pickle.HIGHEST_PROTOCOL))
-        )
-        return super().submit(fn, *args)
-
-
-def _transport_spec(n_worlds: int) -> EngineSpec:
-    return EngineSpec.from_builder(
-        "risk_vs_cost", config=ProphetConfig(n_worlds=n_worlds), purchase_step=8
-    )
-
-
-_TRANSPORT_POINT = {"purchase1": 8, "purchase2": 24, "feature": 12}
-_TRANSPORT_WARMUP = {"purchase1": 0, "purchase2": 0, "feature": 44}
-
-
-def _max_task_bytes(n_worlds: int, transport: Optional[TransportConfig]) -> int:
-    """Largest task pickle one fresh fan-out ships at ``n_worlds``."""
-    executor = _RecordingExecutor()
-    service = EvaluationService(
-        _transport_spec(n_worlds),
-        executor=executor,
-        shards=8,
-        min_shard_worlds=1,
-        transport=transport,
-    )
-    service.evaluate(_TRANSPORT_POINT, reuse=False)
-    service.close()
-    return max(executor.task_bytes)
-
-
-def bench_transport(smoke: bool) -> Optional[dict[str, Any]]:
-    """The zero-copy shard transport: task-pickle growth, op cost, parity.
-
-    * task bytes: the largest fan-out task pickle at 64 vs 512 worlds —
-      O(1) under shm (descriptors only), O(n_worlds) under pickle;
-    * op speedup: shipping 8-shard generations (world slices + result
-      matrices + a two-entry hot snapshot re-pickled per shard) through
-      arena pack + segment views vs per-task pickle round-trips;
-    * parity: an inline-serve sweep digest must be bit-identical across
-      transports;
-    * e2e (>= 2 cores only): fresh ``n_worlds=400`` evaluations through a
-      2-worker pool, pickle vs shm wall-clock.
-
-    Returns ``None`` (section omitted) where POSIX shm is unavailable.
-    """
-    if not shm_available():
-        return None
-    shm = TransportConfig(shard_transport="shm")
-
-    # Task-byte probes are one inline evaluation each — cheap enough to
-    # keep full-sized in smoke mode, and the O(1)-vs-O(n) contrast needs
-    # the 8x world spread.
-    small, large = 64, 512
-    task_bytes = {
-        "pickle_small": _max_task_bytes(small, None),
-        "pickle_large": _max_task_bytes(large, None),
-        "shm_small": _max_task_bytes(small, shm),
-        "shm_large": _max_task_bytes(large, shm),
-    }
-    # Worlds pickle at ~3 bytes each; demand at least 1 byte per extra
-    # world in the largest shard so the pickle leg provably grows while
-    # the shm leg stays flat.
-    o1 = (
-        abs(task_bytes["shm_large"] - task_bytes["shm_small"]) < 256
-        and task_bytes["pickle_large"] - task_bytes["pickle_small"] > (large - small) // 8
-    )
-
-    rounds = 30
-    snapshot = synthetic_snapshot()
-    shard_worlds, shard_results = generation_payload()
-    # Best-of-3 per leg: single-shot wall clocks flake on loaded hosts.
-    op_pickle = min(
-        ship_pickle(snapshot, shard_worlds, shard_results, rounds) for _ in range(3)
-    )
-    op_shm = min(
-        ship_shm(snapshot, shard_worlds, shard_results, rounds) for _ in range(3)
-    )
-
-    digests = {}
-    for name, transport in (("pickle", None), ("shm", shm)):
-        client = _client(20 if smoke else 64).with_serving(
-            executor="inline", shards=4, min_shard_worlds=1
-        )
-        if transport is not None:
-            client = client.with_transport(shard_transport="shm")
-        points = _sweep_points(client, 6 if smoke else None)
-        _, results = _timed_sweep(client, points)
-        digests[name] = _statistics_digest(results)
-        client.close()
-
-    section: dict[str, Any] = {
-        "n_worlds": large,
-        "shards": 8,
-        "task_bytes_pickle_small": task_bytes["pickle_small"],
-        "task_bytes_pickle_large": task_bytes["pickle_large"],
-        "task_bytes_shm_small": task_bytes["shm_small"],
-        "task_bytes_shm_large": task_bytes["shm_large"],
-        "task_bytes_o1": o1,
-        "op_pickle_seconds": round(op_pickle, 4),
-        "op_shm_seconds": round(op_shm, 4),
-        "op_speedup": round(op_pickle / op_shm, 2),
-        "parity": digests["pickle"] == digests["shm"],
-    }
-
-    cores = os.cpu_count() or 1
-    if cores >= 2:
-        e2e_worlds = 120 if smoke else 400
-        seconds = {}
-        e2e_digests = {}
-        for name, transport in (("pickle", None), ("shm", shm)):
-            with ProcessExecutor(2) as pool:
-                service = EvaluationService(
-                    _transport_spec(e2e_worlds),
-                    executor=pool,
-                    shards=2,
-                    transport=transport,
-                )
-                service.evaluate(_TRANSPORT_WARMUP, worlds=range(8), reuse=False)
-                started = time.perf_counter()
-                evaluation = service.evaluate(_TRANSPORT_POINT, reuse=False)
-                seconds[name] = time.perf_counter() - started
-                stats = evaluation.statistics
-                e2e_digests[name] = b"".join(
-                    stats.expectation(alias).tobytes()
-                    for alias in sorted(stats.aliases())
-                )
-                service.close()
-        section["e2e"] = {
-            "cores": cores,
-            "n_worlds": e2e_worlds,
-            "pickle_seconds": round(seconds["pickle"], 4),
-            "shm_seconds": round(seconds["shm"], 4),
-            "speedup": round(seconds["pickle"] / seconds["shm"], 2),
-            "parity": e2e_digests["pickle"] == e2e_digests["shm"],
-        }
-    return section
-
-
 def run(mode: str, trace_file: Optional[str]) -> dict[str, Any]:
     smoke = mode == "smoke"
     n_worlds = 20 if smoke else 100
@@ -478,7 +306,6 @@ def run(mode: str, trace_file: Optional[str]) -> dict[str, Any]:
     batched_vs_loop = bench_batched_vs_loop(n_worlds, points_limit, digest)
     result_cache = bench_result_cache(n_worlds, points_limit)
     adaptive_sweep = bench_adaptive_sweep(n_worlds, points_limit)
-    transport = bench_transport(smoke)
 
     benchmarks = {
         "fresh_sweep": fresh,
@@ -488,8 +315,6 @@ def run(mode: str, trace_file: Optional[str]) -> dict[str, Any]:
         "plan_cache": plan_cache,
         "adaptive_sweep": adaptive_sweep,
     }
-    if transport is not None:
-        benchmarks["transport"] = transport
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -554,17 +379,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         f"({adaptive['saving_fraction']:.1%} at target_ci="
         f"{adaptive['target_ci']}; parity: {adaptive['parity_ok']})"
     )
-    transport = bench.get("transport")
-    if transport is not None:
-        e2e = transport.get("e2e")
-        e2e_note = f", e2e {e2e['speedup']}x on {e2e['cores']} cores" if e2e else ""
-        print(
-            f"  transport ops: {transport['op_speedup']}x shm vs pickle, "
-            f"task pickle {transport['task_bytes_shm_large']} B at "
-            f"n_worlds={transport['n_worlds']} (O(1): "
-            f"{transport['task_bytes_o1']}; parity: {transport['parity']}"
-            f"{e2e_note})"
-        )
     if args.trace_file:
         print(f"  trace written to {args.trace_file}")
     if not bench["batched_vs_loop"]["parity"]:
@@ -572,11 +386,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     if not adaptive["parity_ok"]:
         print("error: adaptive vs fixed parity FAILED", file=sys.stderr)
-        return 1
-    if transport is not None and not (
-        transport["parity"] and transport.get("e2e", {"parity": True})["parity"]
-    ):
-        print("error: transport shm vs pickle parity FAILED", file=sys.stderr)
         return 1
     return 0
 

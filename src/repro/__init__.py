@@ -60,7 +60,6 @@ from repro.api import (
     SweepHandle,
     SweepResult,
     TimingReport,
-    TransportConfig,
 )
 from repro.dsl import parse_scenario
 
@@ -139,7 +138,6 @@ __all__ = [
     "StoreConfig",
     "ServeConfig",
     "ResilienceConfig",
-    "TransportConfig",
     "CacheConfig",
     "ObsConfig",
     "InteractiveHandle",

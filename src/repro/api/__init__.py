@@ -4,12 +4,11 @@ Everything a caller needs lives here and only here:
 
 * :class:`ProphetClient` — ``open(scenario, library, config=...)`` plus the
   fluent ``with_serving`` / ``with_cache`` / ``with_basis_store`` /
-  ``with_sampling`` / ``with_adaptive`` / ``with_resilience`` /
-  ``with_transport`` helpers;
+  ``with_sampling`` / ``with_adaptive`` / ``with_resilience`` helpers;
 * the typed layered configuration — :class:`ClientConfig` composing
   :class:`SamplingConfig`, :class:`ReuseConfig`, :class:`StoreConfig`,
-  :class:`ServeConfig`, :class:`ResilienceConfig`, :class:`TransportConfig`,
-  :class:`CacheConfig`, :class:`AdaptiveConfig`, :class:`ObsConfig`;
+  :class:`ServeConfig`, :class:`ResilienceConfig`, :class:`CacheConfig`,
+  :class:`AdaptiveConfig`, :class:`ObsConfig`;
 * the uniform handles — :class:`InteractiveHandle`, :class:`SweepHandle`
   and :class:`AdaptiveSweepHandle` (streaming :class:`SweepResult`
   iterators; the adaptive one retires points as their CI target resolves),
@@ -31,7 +30,6 @@ from repro.api.config import (
     SamplingConfig,
     ServeConfig,
     StoreConfig,
-    TransportConfig,
 )
 from repro.api.handles import (
     AdaptiveSweepHandle,
@@ -61,5 +59,4 @@ __all__ = [
     "SweepHandle",
     "SweepResult",
     "TimingReport",
-    "TransportConfig",
 ]

@@ -278,35 +278,6 @@ class ProphetClient:
             changes["job_retries"] = job_retries
         return self.with_config(self.config.replace_section("resilience", **changes))
 
-    def with_transport(
-        self,
-        *,
-        shard_transport: Optional[str] = None,
-        segment_cap_bytes: Optional[int] = None,
-        lease_ttl: Optional[float] = None,
-    ) -> "ProphetClient":
-        """Choose how shard payloads travel to process-pool workers.
-
-        ``shard_transport="shm"`` ships worlds, result buffers, and basis
-        snapshots through named shared-memory segments leased from the
-        coordinator's arena — task pickles stay O(1) in the world count and
-        merge reads are zero-copy. The default ``"pickle"`` keeps the plain
-        pickled payloads; shm falls back to it per generation (counted,
-        never an error) when segments are unavailable or a payload exceeds
-        the cap. Only the knobs actually passed are changed — chained calls
-        accumulate instead of resetting each other. A non-default transport
-        section routes evaluations through the serve backend, where the
-        shard transport lives.
-        """
-        changes: dict[str, Any] = {}
-        if shard_transport is not None:
-            changes["shard_transport"] = shard_transport
-        if segment_cap_bytes is not None:
-            changes["segment_cap_bytes"] = segment_cap_bytes
-        if lease_ttl is not None:
-            changes["lease_ttl"] = lease_ttl
-        return self.with_config(self.config.replace_section("transport", **changes))
-
     def with_observability(
         self,
         *,
@@ -417,7 +388,6 @@ class ProphetClient:
                 min_shard_worlds=serve.min_shard_worlds,
                 share_bases=serve.share_bases,
                 resilience=self.config.resilience,
-                transport=self.config.transport,
             )
         else:
             engine = ProphetEngine(self.scenario, self.library, engine_config)
@@ -429,7 +399,6 @@ class ProphetClient:
                 min_shard_worlds=serve.min_shard_worlds,
                 share_bases=serve.share_bases,
                 resilience=self.config.resilience,
-                transport=self.config.transport,
             )
         self._scheduler = Scheduler(self._service)
 
@@ -445,9 +414,7 @@ class ProphetClient:
             self._ensure_backend()
             if self._scheduler is None:
                 self._service = EvaluationService(
-                    engine=self._engine,
-                    resilience=self.config.resilience,
-                    transport=self.config.transport,
+                    engine=self._engine, resilience=self.config.resilience
                 )
                 self._scheduler = Scheduler(self._service)
                 self._attach_observability()

@@ -1,9 +1,9 @@
 """Typed, layered client configuration.
 
 One :class:`ClientConfig` replaces the constructor sprawl of the four
-legacy entrypoints: nine frozen section dataclasses — sampling, reuse,
-basis store, serving, resilience, shard transport, result cache, adaptive
-sampling, observability — compose into one validated object.
+legacy entrypoints: eight frozen section dataclasses — sampling, reuse,
+basis store, serving, resilience, result cache, adaptive sampling,
+observability — compose into one validated object.
 Every knob that used to live in the flat :class:`~repro.core.engine.
 ProphetConfig` (or in ``EvaluationService``/CLI keyword arguments) has
 exactly one home here, and :meth:`ClientConfig.engine_config` derives the
@@ -32,7 +32,6 @@ from repro.core.sampling import SAMPLING_BACKENDS
 from repro.errors import ScenarioError
 from repro.obs.config import ObsConfig
 from repro.serve.resilience import ResilienceConfig
-from repro.serve.transport import TransportConfig
 
 #: Executor kinds the serving section accepts (see repro.serve.executors).
 EXECUTOR_KINDS: tuple[str, ...] = ("auto", "process", "inline")
@@ -231,7 +230,6 @@ _SECTIONS: dict[str, type] = {
     "store": StoreConfig,
     "serve": ServeConfig,
     "resilience": ResilienceConfig,
-    "transport": TransportConfig,
     "cache": CacheConfig,
     "adaptive": AdaptiveConfig,
     "obs": ObsConfig,
@@ -242,7 +240,7 @@ _SECTIONS: dict[str, type] = {
 class ClientConfig:
     """The one configuration object behind a :class:`~repro.api.ProphetClient`.
 
-    Composes the nine sections; backends — in-process engine vs sharded
+    Composes the eight sections; backends — in-process engine vs sharded
     service, loop vs batched sampling, tiered store, fault-tolerance
     ladder, result cache — are pure configuration here, never separate
     constructor dialects. The resilience section is defined next to the
@@ -255,7 +253,6 @@ class ClientConfig:
     store: StoreConfig = field(default_factory=StoreConfig)
     serve: ServeConfig = field(default_factory=ServeConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    transport: TransportConfig = field(default_factory=TransportConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
@@ -301,7 +298,6 @@ class ClientConfig:
         *,
         serve: Optional[ServeConfig] = None,
         resilience: Optional[ResilienceConfig] = None,
-        transport: Optional[TransportConfig] = None,
         cache: Optional[CacheConfig] = None,
     ) -> "ClientConfig":
         """Lift a legacy flat config into the layered form (lossless)."""
@@ -326,7 +322,6 @@ class ClientConfig:
             ),
             serve=serve or ServeConfig(),
             resilience=resilience or ResilienceConfig(),
-            transport=transport or TransportConfig(),
             cache=cache or CacheConfig(),
         )
 
@@ -433,17 +428,14 @@ class ClientConfig:
 
         A non-default resilience section counts: deadlines, retry budgets,
         and rescue semantics only exist in the service's shard dispatcher,
-        so asking for them is asking for the service. The same holds for a
-        non-default transport section — the shared-memory shard transport
-        only exists between the service coordinator and its workers. The
-        obs section never counts — observability attaches to whichever
-        backend the rest of the config selects.
+        so asking for them is asking for the service. The obs section never
+        counts — observability attaches to whichever backend the rest of
+        the config selects.
         """
         return (
             self.serve.enabled
             or self.cache.enabled
             or self.resilience != ResilienceConfig()
-            or self.transport != TransportConfig()
         )
 
 

@@ -93,7 +93,6 @@ class StatsReport:
             service_dict = {
                 "executor_kind": service.executor.kind,
                 "executor_workers": service.executor.workers,
-                "shard_transport": service.transport.shard_transport,
                 # Stale-tmp files swept when the result cache opened — a
                 # deterministic counter (a clean run sweeps zero), safe for
                 # the byte-stable JSON.
@@ -206,12 +205,6 @@ class StatsReport:
             f"{sv['shard_timeouts']} timeouts / "
             f"{sv['pool_rebuilds']} pool rebuilds / "
             f"{sv['inline_rescues']} inline rescues",
-            f"  transport: {sv.get('shard_transport', 'pickle')} — "
-            f"{sv.get('bytes_zero_copy', 0)} B zero-copy / "
-            f"{sv.get('bytes_shipped', 0)} B pickled, "
-            f"{sv.get('segments_leased', 0)} segments leased / "
-            f"{sv.get('segments_reclaimed', 0)} reclaimed, "
-            f"{sv.get('transport_fallbacks', 0)} fallbacks",
         ]
         if self.scheduler is not None:
             lines.append(

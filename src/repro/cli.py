@@ -37,7 +37,6 @@ from repro.api import (
     SamplingConfig,
     ServeConfig,
     StoreConfig,
-    TransportConfig,
 )
 from repro.errors import ReproError
 from repro.models import FIGURE2_DSL
@@ -192,15 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="extra submission rounds a transiently-failed shard gets "
             "before inline rescue (default: 2)",
         )
-        sub.add_argument(
-            "--shard-transport",
-            default=None,
-            choices=("pickle", "shm"),
-            help="how shard payloads reach process-pool workers: 'pickle' "
-            "ships them inside the task pickle (default); 'shm' leases "
-            "shared-memory segments so task pickles stay O(1) in the world "
-            "count (falls back to pickle when segments are unavailable)",
-        )
 
     optimize = subparsers.add_parser(
         "optimize", help="run the scenario's OPTIMIZE block over the full grid"
@@ -323,11 +313,6 @@ def _client_config(args: argparse.Namespace) -> ClientConfig:
         resilience_changes["shard_timeout"] = args.shard_timeout
     if getattr(args, "shard_retries", None) is not None:
         resilience_changes["shard_retries"] = args.shard_retries
-    # Likewise transport: only an explicit --shard-transport touches the
-    # section, so the default never forces the serve backend.
-    transport_changes: dict[str, Any] = {}
-    if getattr(args, "shard_transport", None) is not None:
-        transport_changes["shard_transport"] = args.shard_transport
     # Likewise adaptive: without --target-ci the section stays at its
     # default (disabled) and the run is byte-identical to fixed budget.
     adaptive_changes: dict[str, Any] = {}
@@ -351,7 +336,6 @@ def _client_config(args: argparse.Namespace) -> ClientConfig:
             executor=getattr(args, "executor", "auto"),
         ),
         resilience=ResilienceConfig(**resilience_changes),
-        transport=TransportConfig(**transport_changes),
         cache=CacheConfig(dir=getattr(args, "cache_dir", None)),
         adaptive=AdaptiveConfig(**adaptive_changes),
         obs=ObsConfig(

@@ -3,8 +3,8 @@
 Shard tasks are pure functions of ``(spec, point, worlds)`` — that purity
 is what makes retries, pool healing, inline rescue, and round merging
 bit-identical. It survives only if the modules a task pickle drags into a
-worker (``repro.serve.worker``, ``repro.serve.faults``, and the reader
-side of ``repro.serve.transport``) carry no hidden coordinator state:
+worker (``repro.serve.worker`` and ``repro.serve.faults``) carry no
+hidden coordinator state:
 
 * no mutable module-level globals (a dict that differs between the
   coordinator and a freshly spawned worker silently changes decisions) —
@@ -28,7 +28,6 @@ from repro.lint.engine import FileContext, Rule, Violation
 WORKER_MODULES: tuple[str, ...] = (
     "repro.serve.worker",
     "repro.serve.faults",
-    "repro.serve.transport",
 )
 
 #: Coordinator-only modules a worker-shipped module must never import:

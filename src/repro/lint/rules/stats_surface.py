@@ -21,7 +21,7 @@ SURFACE_METHODS: tuple[str, ...] = ("to_dict", "to_json", "as_dict")
 
 #: Name fragments that mark a value as wall-clock-derived. Matched against
 #: ``_``-separated parts of attribute/variable names, so ``elapsed_seconds``
-#: and ``worker_seconds`` hit while ``segments_leased`` does not.
+#: and ``worker_seconds`` hit while ``bytes_shipped`` does not.
 TIMING_FRAGMENTS: frozenset[str] = frozenset(
     {"seconds", "elapsed", "timing", "wall", "duration", "perf"}
 )

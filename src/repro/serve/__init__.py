@@ -27,11 +27,6 @@ Every shard fan-out goes through the fault-tolerance ladder in
 retries, pool self-healing, and inline rescue as the last rung — so a
 faulty substrate costs time, never answers; :mod:`repro.serve.faults`
 provides the deterministic chaos harness that proves it.
-
-Bulk shard payloads (world slices, sample matrices, basis snapshots) can
-optionally ride named shared-memory segments instead of task pickles —
-:mod:`repro.serve.transport`, ``TransportConfig(shard_transport="shm")`` —
-with byte-identical results and O(1) task pickles in the world count.
 """
 
 from repro.serve.cache import CachedResult, ResultCache, result_key, scenario_fingerprint
@@ -50,12 +45,6 @@ from repro.serve.resilience import ResilienceConfig, ShardCall, ShardDispatcher
 from repro.serve.scheduler import Job, JobQueue, Scheduler, SweepJob
 from repro.serve.service import EvaluationService, ServiceStats
 from repro.serve.sharding import WorldShard, plan_shards
-from repro.serve.transport import (
-    SegmentArena,
-    SegmentRef,
-    TransportConfig,
-    shm_available,
-)
 from repro.serve.worker import (
     BasisSnapshot,
     EngineSpec,
@@ -82,18 +71,14 @@ __all__ = [
     "ResultCache",
     "SCENARIO_BUILDERS",
     "Scheduler",
-    "SegmentArena",
-    "SegmentRef",
     "ServiceStats",
     "ShardCall",
     "ShardDispatcher",
     "ShardSample",
     "SweepJob",
-    "TransportConfig",
     "WorldShard",
     "create_executor",
     "plan_shards",
     "result_key",
     "scenario_fingerprint",
-    "shm_available",
 ]

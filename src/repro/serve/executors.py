@@ -32,15 +32,6 @@ from typing import Any, Callable, Optional
 from repro.errors import ServeError
 
 
-def _run_hooks(hooks: list) -> None:
-    """Run cleanup hooks; a failing hook never masks the teardown itself."""
-    for hook in hooks:
-        try:
-            hook()
-        except Exception:  # pragma: no cover - cleanup is best-effort
-            pass
-
-
 class InlineFuture:
     """Already-resolved future: the task ran synchronously at submit.
 
@@ -68,7 +59,6 @@ class InlineExecutor:
     def __init__(self) -> None:
         self.workers = 1
         self.tasks_run = 0
-        self._teardown_hooks: list[Callable[[], None]] = []
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> InlineFuture:
         self.tasks_run += 1
@@ -77,12 +67,8 @@ class InlineExecutor:
         except Exception as error:  # surfaced on .result(), like a real future
             return InlineFuture(error=error)
 
-    def add_teardown_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` on shutdown (transport arenas release segments here)."""
-        self._teardown_hooks.append(hook)
-
     def shutdown(self, timeout: float = 5.0) -> None:  # interface symmetry
-        _run_hooks(self._teardown_hooks)
+        pass
 
 
 class ProcessExecutor:
@@ -107,19 +93,6 @@ class ProcessExecutor:
         self.tasks_run = 0
         #: How many times the pool was rebuilt (self-healing observability).
         self.rebuilds = 0
-        #: Cleanup hooks (see :meth:`add_recycle_hook` / :meth:`add_teardown_hook`):
-        #: the shm transport registers its lease sweeper / arena release so
-        #: pool churn can never strand shared-memory segments.
-        self._recycle_hooks: list[Callable[[], None]] = []
-        self._teardown_hooks: list[Callable[[], None]] = []
-
-    def add_recycle_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` after every :meth:`recycle` (pool self-heal)."""
-        self._recycle_hooks.append(hook)
-
-    def add_teardown_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` after :meth:`shutdown` tears the pool down."""
-        self._teardown_hooks.append(hook)
 
     def _new_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -144,7 +117,6 @@ class ProcessExecutor:
         self._teardown(self._pool, timeout)
         self._pool = self._new_pool()
         self.rebuilds += 1
-        _run_hooks(self._recycle_hooks)
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Bounded shutdown: never blocks forever on a stuck worker.
@@ -155,7 +127,6 @@ class ProcessExecutor:
         """
         pool, self._pool = self._pool, None
         self._teardown(pool, timeout)
-        _run_hooks(self._teardown_hooks)
 
     @staticmethod
     def _teardown(pool: Optional[ProcessPoolExecutor], timeout: float) -> None:

@@ -128,12 +128,6 @@ class ShardCall:
     rescue: Callable[[], ShardSample]
     expected_rows: int
     expected_components: Optional[int] = None
-    #: Transport hook: maps the raw executor payload into the usable one
-    #: (the shm transport resolves a returned segment descriptor into a
-    #: sample-matrix view). Applied before payload validation; a resolve
-    #: failure is a transient substrate fault (the ladder re-runs the
-    #: shard, ultimately inline where no resolution is needed).
-    resolve: Optional[Callable[[Any], Any]] = None
     #: Assigned by the dispatcher: the global fault-plan sequence number.
     seq: int = field(default=-1, repr=False)
 
@@ -165,10 +159,6 @@ class ShardDispatcher:
         #: Worker-side shard wall-clock (shipped back in each ShardSample)
         #: becomes worker-track "shard" events with attempt attribution.
         self.tracer = NULL_TRACER
-        #: Transport cleanup hook, run after every pool heal: the service
-        #: points this at its segment arena's TTL sweeper so a healed pool
-        #: can never strand expired shared-memory leases.
-        self.transport_sweep: Optional[Callable[[], Any]] = None
 
     # -- public entrypoint --------------------------------------------------
 
@@ -246,18 +236,6 @@ class ShardDispatcher:
                 if permanent is None:
                     permanent = error
                 continue
-            if calls[index].resolve is not None:
-                try:
-                    payload = calls[index].resolve(payload)
-                except Exception as error:
-                    # A descriptor that cannot be resolved (unknown or
-                    # reclaimed segment) is substrate damage, transient by
-                    # the same purity argument as a mangled payload.
-                    reasons[index] = ShardPayloadError(
-                        f"shard payload failed to resolve: {error}"
-                    )
-                    failed.append(index)
-                    continue
             problem = self._payload_problem(calls[index], payload)
             if problem is not None:
                 # Coordinator-side classification: a mangled payload is a
@@ -294,8 +272,6 @@ class ShardDispatcher:
             return
         self.executor.recycle()
         self.stats.pool_rebuilds += 1
-        if self.transport_sweep is not None:
-            self.transport_sweep()
 
     def _backoff(self, attempt: int) -> None:
         if self.config.retry_backoff > 0:

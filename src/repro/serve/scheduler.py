@@ -640,10 +640,6 @@ class Scheduler:
             "pool_rebuilds": stats.pool_rebuilds,
             "inline_rescues": stats.inline_rescues,
             "bytes_shipped": stats.bytes_shipped,
-            "bytes_zero_copy": stats.bytes_zero_copy,
-            "segments_leased": stats.segments_leased,
-            "segments_reclaimed": stats.segments_reclaimed,
-            "transport_fallbacks": stats.transport_fallbacks,
         }
 
     def evaluate(

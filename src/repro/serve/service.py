@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -55,23 +55,6 @@ from repro.serve.executors import InlineExecutor, create_executor
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.serve.resilience import ResilienceConfig, ShardCall, ShardDispatcher
 from repro.serve.sharding import plan_shards
-from repro.serve.transport import (
-    SegmentArena,
-    SegmentLease,
-    SegmentRef,
-    ShmShard,
-    SnapshotRef,
-    TransportConfig,
-    acquire_shard_shm,
-    acquire_shard_task_shm,
-    fresh_shard_shm,
-    generation_nbytes,
-    logical_nbytes,
-    pack_snapshot,
-    sample_shard_task_shm,
-    shm_available,
-    snapshot_nbytes,
-)
 from repro.serve.worker import (
     BasisSnapshot,
     EngineSpec,
@@ -127,20 +110,10 @@ class ServiceStats:
     shard_timeouts: int = 0
     pool_rebuilds: int = 0
     inline_rescues: int = 0
-    #: Shard transport (see :mod:`repro.serve.transport`). ``bytes_shipped``
-    #: counts logical payload bytes (world ids, snapshot matrices, sample
-    #: matrices) that crossed a process boundary through pickle;
-    #: ``bytes_zero_copy`` counts the same logical bytes when they moved
-    #: through shared-memory segments instead. Segment lease/reclaim
-    #: counters must end a session equal — the leak assertion the chaos
-    #: suite pins. ``transport_fallbacks`` counts generations that wanted
-    #: shm but ran pickle (platform without shm, payload over the segment
-    #: cap) — silent degradation, made observable.
+    #: Logical payload bytes (world ids, snapshot matrices, sample
+    #: matrices) that crossed a process boundary inside task and result
+    #: pickles. Zero under the inline executor, where nothing is pickled.
     bytes_shipped: int = 0
-    bytes_zero_copy: int = 0
-    segments_leased: int = 0
-    segments_reclaimed: int = 0
-    transport_fallbacks: int = 0
     #: Wall-clock measured *inside* shard executions (worker processes or
     #: the inline executor) and shipped back in each ShardSample. Like
     #: ``parallel_seconds`` it is excluded from :meth:`as_dict` — timing is
@@ -181,21 +154,20 @@ class ServiceStats:
             "pool_rebuilds": self.pool_rebuilds,
             "inline_rescues": self.inline_rescues,
             "bytes_shipped": self.bytes_shipped,
-            "bytes_zero_copy": self.bytes_zero_copy,
-            "segments_leased": self.segments_leased,
-            "segments_reclaimed": self.segments_reclaimed,
-            "transport_fallbacks": self.transport_fallbacks,
         }
 
 
-@dataclass
-class _Generation:
-    """One fan-out's transport state: its segment lease and descriptors."""
-
-    lease: SegmentLease
-    worlds_refs: list[SegmentRef]
-    result_refs: list[SegmentRef]
-    snapshot_ref: Optional[SnapshotRef]
+def logical_nbytes(snapshot: Optional[BasisSnapshot]) -> int:
+    """Payload bytes a snapshot ships (for the ``bytes_shipped`` counter)."""
+    if snapshot is None:
+        return 0
+    total = 0
+    for entry in snapshot.entries:
+        total += np.asarray(entry.samples).nbytes
+        total += len(entry.worlds) * 8 + len(entry.seeds) * 8
+    for _, matrix in snapshot.fingerprints:
+        total += np.asarray(matrix).nbytes
+    return total
 
 
 class EvaluationService:
@@ -214,7 +186,6 @@ class EvaluationService:
         share_bases: bool = True,
         resilience: Optional[ResilienceConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
-        transport: Optional[TransportConfig] = None,
     ) -> None:
         if spec is None and engine is None:
             raise ServeError("EvaluationService needs a spec= or an engine=")
@@ -271,25 +242,6 @@ class EvaluationService:
         self._dispatcher = ShardDispatcher(
             self.executor, self.stats, self.resilience, self.injector
         )
-        #: Shard transport: pickle by default; ``"shm"`` moves bulk arrays
-        #: through shared-memory segments (bit-identical, descriptor-sized
-        #: task pickles). Falls back to pickle — counted, never an error —
-        #: where shared memory is unavailable.
-        self.transport = transport if transport is not None else TransportConfig()
-        self._arena = SegmentArena(ttl=self.transport.lease_ttl, stats=self.stats)
-        self._shm_ok = self.transport.enabled and shm_available()
-        #: Coordinator-side snapshot segment cache: one packed segment per
-        #: live snapshot version (content-addressed), so sweeps that reship
-        #: the same snapshot lease and pack it once, not once per fan-out.
-        self._snapshot_leases: dict[str, tuple[SegmentLease, SnapshotRef]] = {}
-        # Tie lease cleanup into the executor's own lifecycle: a recycled
-        # pool sweeps expired leases, a shutdown pool releases everything.
-        # (The dispatcher additionally sweeps after every pool heal.)
-        if hasattr(self.executor, "add_recycle_hook"):
-            self.executor.add_recycle_hook(self._arena.sweep_expired)
-        if hasattr(self.executor, "add_teardown_hook"):
-            self.executor.add_teardown_hook(self._release_transport)
-        self._dispatcher.transport_sweep = self._arena.sweep_expired
         self._reuse_active = True
         self._cache_writes_enabled = True
         #: Observability: :meth:`set_tracer` replaces this shared no-op.
@@ -383,15 +335,6 @@ class EvaluationService:
 
     def close(self) -> None:
         self.executor.shutdown()
-        # The teardown hook already released the arena when the executor
-        # supports hooks; calling again is idempotent and covers foreign
-        # executors passed in without the hook interface.
-        self._release_transport()
-
-    def _release_transport(self) -> None:
-        """Release every transport lease this service holds (idempotent)."""
-        self._snapshot_leases.clear()
-        self._arena.release_all()
 
     def __enter__(self) -> "EvaluationService":
         return self
@@ -569,20 +512,15 @@ class EvaluationService:
             # mirroring the worker-side per-version snapshot cache.
             inline_store = build_snapshot_store(self.engine, snapshot)
         n_components = self.engine.library.get(output.vg_name).n_components
-        # Shard transport: lease + pack this generation's segments (or None
-        # for the pickle path — default, unavailable shm, payload over cap).
-        generation = self._lease_generation(
-            output, shards, n_components, snapshot, use_process
-        )
         # repro-lint: disable=DET001 -- feeds stats.parallel_seconds, a
         # timing counter excluded from the byte-stable as_dict surface.
         started = time.perf_counter()
         calls = [
             self._shard_call(
-                output, index, shard, snapshot, inline_store, use_process,
-                point_items, point_dict, n_components, generation,
+                output, shard, snapshot, inline_store, use_process,
+                point_items, point_dict, n_components,
             )
-            for index, shard in enumerate(shards)
+            for shard in shards
         ]
         # Counters are committed at dispatch time, before any result (or
         # failure) comes back, so an error mid-fan-out cannot leave them
@@ -591,10 +529,10 @@ class EvaluationService:
         if snapshot is not None:
             self.stats.snapshots_shipped += 1
             self.stats.snapshot_bases_shipped += len(snapshot.entries)
-        if generation is None and use_process:
-            # Pickle transport over a process boundary: world ids out per
-            # shard, plus the full snapshot payload once per task (process
-            # pools have no broadcast). Result bytes are counted at merge.
+        if use_process:
+            # Pickled over a process boundary: world ids out per shard, plus
+            # the full snapshot payload once per task (process pools have no
+            # broadcast). Result bytes are counted at merge.
             self.stats.bytes_shipped += sum(len(s.worlds) * 8 for s in shards)
             self.stats.bytes_shipped += logical_nbytes(snapshot) * len(shards)
         try:
@@ -609,134 +547,42 @@ class EvaluationService:
                 worlds=len(worlds),
                 executor=self.executor.kind,
                 snapshot_bases=len(snapshot.entries) if snapshot else 0,
-                transport="shm" if generation is not None else "pickle",
             ):
                 shard_samples = self._dispatcher.dispatch(calls)
-        except BaseException:
-            if generation is not None:
-                self._arena.release(generation.lease)
-            raise
         finally:
             # repro-lint: disable=DET001 -- observability only (see above).
             self.stats.parallel_seconds += time.perf_counter() - started
-        try:
-            with self.tracer.span(
-                "merge", alias=output.alias, shards=len(shard_samples)
-            ):
-                parts: list[np.ndarray] = []
-                any_shard_reuse = False
-                for result in shard_samples:
-                    self._count_shard_sample(result)
-                    any_shard_reuse = any_shard_reuse or result.source != "fresh"
-                    part = np.asarray(result.samples, dtype=float)
-                    if generation is None and use_process:
-                        self.stats.bytes_shipped += part.nbytes
-                    parts.append(part)
-                if any_shard_reuse:
-                    # The merged matrix the engine is about to store mixes shard-
-                    # reused (geometry-dependent) rows in; taint the key before
-                    # the store happens so the entry can never spill or persist.
-                    # Taint is sticky across put(), so the ordering is race-free.
-                    self.engine.storage.tier.taint(
-                        (
-                            self.engine.library.get(output.vg_name).name.lower(),
-                            tuple(output.model_arg_values(batch.point_dict)),
-                        )
-                    )
-                # The shard bases shipped back in ``parts`` merge here, in shard
-                # order; the engine stores the merged entry in its tiered store,
-                # where the next snapshot (and every other session) can reuse it.
-                # ``vstack`` copies, so the generation's segments are released
-                # right after (the arena defers unmapping past any live view).
-                return np.vstack(parts)
-        finally:
-            if generation is not None:
-                self._arena.release(generation.lease)
-
-    def _lease_generation(
-        self,
-        output: VGOutput,
-        shards,
-        n_components: int,
-        snapshot: Optional[BasisSnapshot],
-        use_process: bool,
-    ) -> Optional[_Generation]:
-        """Lease and pack one fan-out's transport segments (shm only).
-
-        Returns ``None`` on the pickle path: transport disabled, shared
-        memory unavailable on this platform, or a payload that would
-        exceed the segment cap — the latter two are counted as
-        ``transport_fallbacks`` (silent degradation, never an error).
-        """
-        if not self.transport.enabled:
-            return None
-        if not self._shm_ok:
-            self.stats.transport_fallbacks += 1
-            return None
-        rows = [len(shard.worlds) for shard in shards]
-        need = generation_nbytes(rows, n_components)
-        if need > self.transport.segment_cap_bytes:
-            self.stats.transport_fallbacks += 1
-            return None
-        snapshot_ref = None
-        if snapshot is not None and use_process:
-            snapshot_ref = self._snapshot_ref_for(snapshot)
-            if snapshot_ref is None:  # snapshot alone exceeds the cap
-                self.stats.transport_fallbacks += 1
-                return None
         with self.tracer.span(
-            "transport", alias=output.alias, shards=len(shards), bytes=need
+            "merge", alias=output.alias, shards=len(shard_samples)
         ):
-            lease = self._arena.lease(need, label="generation")
-            worlds_refs = [
-                lease.pack(np.asarray(shard.worlds, dtype=np.int64))
-                for shard in shards
-            ]
-            result_refs = [
-                lease.reserve((n_rows, n_components), np.float64) for n_rows in rows
-            ]
-        self.stats.bytes_zero_copy += sum(ref.nbytes for ref in worlds_refs)
-        self.stats.bytes_zero_copy += sum(ref.nbytes for ref in result_refs)
-        return _Generation(
-            lease=lease,
-            worlds_refs=worlds_refs,
-            result_refs=result_refs,
-            snapshot_ref=snapshot_ref,
-        )
-
-    def _snapshot_ref_for(self, snapshot: BasisSnapshot) -> Optional[SnapshotRef]:
-        """The packed-segment descriptor of a snapshot, cached per version.
-
-        Snapshot versions are content-addressed, so sweeps that reship an
-        identical snapshot hit the cache and pack nothing; a new version
-        for the same VG evicts (releases) its predecessor's lease. Returns
-        ``None`` when the snapshot alone would exceed the segment cap.
-        """
-        cached = self._snapshot_leases.get(snapshot.version)
-        if cached is not None and self._arena.get(cached[0].name) is not None:
-            self._arena.touch(cached[0])
-            return cached[1]
-        need = snapshot_nbytes(snapshot)
-        if need > self.transport.segment_cap_bytes:
-            return None
-        lease = self._arena.lease(need, label=f"snapshot:{snapshot.version[:24]}")
-        ref = pack_snapshot(lease, snapshot)
-        vg_prefix = snapshot.version.split(":", 1)[0] + ":"
-        for stale in [
-            version
-            for version in self._snapshot_leases
-            if version.startswith(vg_prefix) and version != snapshot.version
-        ]:
-            old_lease, _ = self._snapshot_leases.pop(stale)
-            self._arena.release(old_lease)
-        self._snapshot_leases[snapshot.version] = (lease, ref)
-        self.stats.bytes_zero_copy += logical_nbytes(snapshot)
-        return ref
+            parts: list[np.ndarray] = []
+            any_shard_reuse = False
+            for result in shard_samples:
+                self._count_shard_sample(result)
+                any_shard_reuse = any_shard_reuse or result.source != "fresh"
+                part = np.asarray(result.samples, dtype=float)
+                if use_process:
+                    self.stats.bytes_shipped += part.nbytes
+                parts.append(part)
+            if any_shard_reuse:
+                # The merged matrix the engine is about to store mixes shard-
+                # reused (geometry-dependent) rows in; taint the key before
+                # the store happens so the entry can never spill or persist.
+                # Taint is sticky across put(), so the ordering is race-free.
+                self.engine.storage.tier.taint(
+                    (
+                        self.engine.library.get(output.vg_name).name.lower(),
+                        tuple(output.model_arg_values(batch.point_dict)),
+                    )
+                )
+            # The shard bases shipped back in ``parts`` merge here, in shard
+            # order; the engine stores the merged entry in its tiered store,
+            # where the next snapshot (and every other session) can reuse it.
+            return np.vstack(parts)
 
     def _shard_call(
         self,
         output: VGOutput,
-        index: int,
         shard,
         snapshot: Optional[BasisSnapshot],
         inline_store,
@@ -744,39 +590,15 @@ class EvaluationService:
         point_items: tuple,
         point_dict: dict[str, Any],
         n_components: int,
-        generation: Optional[_Generation] = None,
     ) -> ShardCall:
         """One shard's dispatcher call: executor task + inline rescue twin.
 
         The rescue closure re-runs the *same pure function* on the
         coordinator — same snapshot store contents, same worlds, same seeds
         — so a rescued shard is bit-identical to what a healthy worker
-        would have returned (and, running in-process on plain arrays, it
-        touches no transport segment: rescues can never leak leases).
+        would have returned.
         """
-        if generation is not None:
-            ticket = ShmShard(
-                worlds=generation.worlds_refs[index],
-                result=generation.result_refs[index],
-            )
-            if use_process and snapshot is not None:
-                fn, args = acquire_shard_task_shm, (
-                    self.spec, output.alias, point_items, ticket,
-                    generation.snapshot_ref,
-                )
-            elif use_process:
-                fn, args = sample_shard_task_shm, (
-                    self.spec, output.alias, point_items, ticket,
-                )
-            elif snapshot is not None:
-                fn, args = acquire_shard_shm, (
-                    self.engine, inline_store, output.alias, point_dict, ticket,
-                )
-            else:
-                fn, args = fresh_shard_shm, (
-                    self.engine, output.alias, point_dict, ticket,
-                )
-        elif use_process and snapshot is not None:
+        if use_process and snapshot is not None:
             fn, args = acquire_shard_task, (
                 self.spec, output.alias, point_items, shard.worlds, snapshot,
             )
@@ -807,28 +629,12 @@ class EvaluationService:
             def rescue(worlds=shard.worlds) -> ShardSample:
                 return fresh_shard(self.engine, output.alias, point_dict, worlds)
 
-        resolve = None
-        if generation is not None:
-            lease = generation.lease
-
-            def resolve(payload: Any, lease=lease) -> Any:
-                # Swap the returned descriptor for a view into the leased
-                # result region (zero-copy; ``vstack`` copies at merge).
-                # Anything else — a rescued plain sample, injected garbage
-                # — passes through to the ordinary payload validation.
-                if isinstance(payload, ShardSample) and isinstance(
-                    payload.samples, SegmentRef
-                ):
-                    return replace(payload, samples=lease.view(payload.samples))
-                return payload
-
         return ShardCall(
             fn=fn,
             args=args,
             rescue=rescue,
             expected_rows=len(shard.worlds),
             expected_components=n_components,
-            resolve=resolve,
         )
 
     def _rescue_store_for(self, snapshot: BasisSnapshot):

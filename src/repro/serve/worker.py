@@ -218,11 +218,6 @@ class ShardSample:
     (workers never hold a tracer; the dispatcher turns these into worker
     -track trace events). ``timing`` is a pickle-friendly tuple of
     ``(stage_name, seconds)`` pairs.
-
-    In transit under the shm transport (:mod:`repro.serve.transport`)
-    ``samples`` is a :class:`~repro.serve.transport.SegmentRef` descriptor
-    of the pre-leased result region the worker wrote; the dispatcher
-    resolves it back into the matrix before anyone else sees the sample.
     """
 
     samples: np.ndarray
@@ -359,14 +354,10 @@ _WORKER_ENGINES: dict[str, ProphetEngine] = {}
 #: Per-process snapshot-store cache: ``(spec_hash, snapshot_version)`` ->
 #: seeded store. Only the latest version per spec is retained, so stale
 #: snapshots (and their sample matrices) never accumulate in workers.
-#: Known tradeoff of the pickle transport: the snapshot payload pickles
-#: once per shard task (ProcessPoolExecutor has no per-worker broadcast);
-#: this cache only avoids re-seeding. The shm transport
-#: (:mod:`repro.serve.transport`) removes that tax — snapshots ship as
-#: O(entries) segment descriptors and its twin cache
-#: (``_SNAPSHOT_REF_STORES``) keys the seeded store to the attached
-#: segments. The coordinator bounds the payload either way by shipping
-#: only partial-coverage bases; uniform-world workloads ship nothing.
+#: Known tradeoff: the snapshot payload still pickles once per shard task
+#: (ProcessPoolExecutor has no per-worker broadcast); this cache only
+#: avoids re-seeding. The coordinator bounds the payload by shipping only
+#: partial-coverage bases, and uniform-world workloads ship nothing.
 # repro-lint: disable=PUR001 -- documented per-process memo keyed by
 # (spec hash, snapshot version); cold re-seeding is bit-identical.
 _SNAPSHOT_STORES: dict[tuple[str, str], StorageManager] = {}

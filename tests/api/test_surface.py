@@ -38,7 +38,6 @@ SURFACE_SNAPSHOT = (
     "SweepHandle",
     "SweepResult",
     "TimingReport",
-    "TransportConfig",
 )
 
 #: The serve plane's public surface (``repro.serve.__all__``), same rules.
@@ -60,20 +59,16 @@ SERVE_SURFACE_SNAPSHOT = (
     "ResultCache",
     "SCENARIO_BUILDERS",
     "Scheduler",
-    "SegmentArena",
-    "SegmentRef",
     "ServiceStats",
     "ShardCall",
     "ShardDispatcher",
     "ShardSample",
     "SweepJob",
-    "TransportConfig",
     "WorldShard",
     "create_executor",
     "plan_shards",
     "result_key",
     "scenario_fingerprint",
-    "shm_available",
 )
 
 

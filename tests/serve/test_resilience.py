@@ -203,6 +203,29 @@ class TestChaosParityProcess:
         finally:
             executor.shutdown()
 
+    def test_seeded_mixed_chaos_stays_bit_identical(self, serve_spec):
+        plan = FaultPlan.seeded(
+            31,
+            shards=12,
+            rate=0.5,
+            kinds=("crash", "hang", "garbage"),
+            hang_seconds=0.3,
+        )
+        executor = ProcessExecutor(2)
+        try:
+            service = _chaos_service(
+                serve_spec,
+                executor=executor,
+                plan=plan,
+                retry_backoff=0.0,
+                shard_timeout=5.0,
+            )
+            evaluation = service.evaluate(POINT)
+            assert_stats_identical(evaluation.statistics, _reference_statistics())
+            assert service.stats.shard_retries > 0  # the plan actually fired
+        finally:
+            executor.shutdown()
+
 
 class TestSchedulerJobRetry:
     def test_transient_job_failure_retried_to_success(self, serve_spec):

@@ -135,6 +135,51 @@ class TestCrossShardReuse:
         assert service.stats.shard_mapped_hits == 0
         assert service.stats.shard_exact_hits == 0
 
+    def test_process_bytes_shipped_accounting(
+        self, serve_spec, process_executor
+    ):
+        """On a process pool, ``bytes_shipped`` counts every pickled payload:
+        8 bytes per world id out, the merged result matrices back, and each
+        shipped snapshot once per shard task (no broadcast)."""
+        service = _service(serve_spec, process_executor)
+        merged, snapshots = [], []
+        sampler, snapshot_for = service._sharded_sampler, service._snapshot_for
+
+        def spy_sampler(output, batch):
+            matrix = sampler(output, batch)
+            merged.append(matrix)
+            return matrix
+
+        def spy_snapshot(output, batch):
+            snapshot = snapshot_for(output, batch)
+            snapshots.append(snapshot)
+            return snapshot
+
+        service._sharded_sampler = spy_sampler
+        service._snapshot_for = spy_snapshot
+        _partial_then_full(service)
+
+        snapshot_bytes = sum(
+            entry.samples.nbytes + 8 * len(entry.worlds) + 8 * len(entry.seeds)
+            for snapshot in snapshots
+            for entry in snapshot.entries
+        ) + sum(
+            matrix.nbytes
+            for snapshot in snapshots
+            if snapshot.entries
+            for _, matrix in snapshot.fingerprints
+        )
+        assert snapshot_bytes > 0  # the snapshot term is exercised
+        expected = (
+            sum(8 * matrix.shape[0] + matrix.nbytes for matrix in merged)
+            + snapshot_bytes * service.n_shards
+        )
+        assert service.stats.bytes_shipped == expected
+
+        inline = _service(serve_spec, InlineExecutor())
+        _partial_then_full(inline)
+        assert inline.stats.bytes_shipped == 0  # nothing is pickled inline
+
 
 class TestResultCacheInteraction:
     def test_shard_reused_evaluations_do_not_enter_result_cache(
