@@ -130,16 +130,19 @@ BENCH_SCHEMA: dict[str, Any] = {
             },
         },
     },
+    "source_lines": _COUNT,
 }
 
 #: Sections newer harness versions emit that older committed trajectory
-#: points (e.g. BENCH_7.json, pre-adaptive) legitimately lack — plus the
+#: points (e.g. BENCH_7.json, pre-adaptive; BENCH_7/8/9 all predate the
+#: top-level ``source_lines`` count) legitimately lack — plus the
 #: historical ``transport`` section, which only BENCH_9.json carries (the
 #: harness no longer emits it since the shared-memory shard transport was
 #: removed). A missing optional section is fine; a present one is
 #: validated in full.
 OPTIONAL_SECTIONS = frozenset(
     {
+        "source_lines",
         "benchmarks.adaptive_sweep",
         "benchmarks.batched_vs_loop.stages",
         "benchmarks.batched_vs_loop.single_round",

@@ -33,7 +33,8 @@ import time
 from pathlib import Path
 from typing import Any, Optional
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import (  # noqa: E402  (sys.path bootstrap above)
     CacheConfig,
@@ -44,7 +45,7 @@ from repro.api import (  # noqa: E402  (sys.path bootstrap above)
 from repro.core.rounds import max_ci_halfwidth  # noqa: E402
 
 #: The PR number this harness stamps into the output (and the filename).
-PR_NUMBER = 9
+PR_NUMBER = 13
 
 #: Schema identity checked by benchmarks/bench_schema.py.
 SCHEMA_VERSION = 1
@@ -295,6 +296,15 @@ def bench_adaptive_sweep(n_worlds: int, points_limit: Optional[int]) -> dict[str
     }
 
 
+def source_lines() -> int:
+    """Lines over ``src/**/*.py`` — what ``find src -name '*.py' | xargs wc -l``
+    totals, so code size is tracked next to speed."""
+    return sum(
+        path.read_bytes().count(b"\n")
+        for path in (REPO_ROOT / "src").rglob("*.py")
+    )
+
+
 def run(mode: str, trace_file: Optional[str]) -> dict[str, Any]:
     smoke = mode == "smoke"
     n_worlds = 20 if smoke else 100
@@ -325,6 +335,7 @@ def run(mode: str, trace_file: Optional[str]) -> dict[str, Any]:
             "sweep_points": fresh["points"],
         },
         "benchmarks": benchmarks,
+        "source_lines": source_lines(),
     }
 
 
@@ -372,6 +383,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         f"hit rate {bench['result_cache']['hit_rate']:.1%}"
     )
     print(f"  plan cache hit rate: {bench['plan_cache']['hit_rate']:.1%}")
+    print(f"  source lines: {document['source_lines']}")
     adaptive = bench["adaptive_sweep"]
     print(
         f"  adaptive sweep: {adaptive['worlds_saved']} of "

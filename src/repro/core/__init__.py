@@ -3,12 +3,8 @@ fingerprinting, and the online/offline exploration modes."""
 
 from repro.core.aggregator import (
     AxisStatistics,
-    ExactSum,
-    MergeableAxisStats,
-    MergeableMoments,
     ResultAggregator,
     SeriesStats,
-    WelfordAccumulator,
     error_against_reference,
 )
 from repro.core.engine import (
@@ -100,10 +96,6 @@ __all__ = [
     "AxisStatistics",
     "SeriesStats",
     "ConvergenceTracker",
-    "ExactSum",
-    "MergeableMoments",
-    "MergeableAxisStats",
-    "WelfordAccumulator",
     "error_against_reference",
     "ProphetEngine",
     "ProphetConfig",

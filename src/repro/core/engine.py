@@ -30,11 +30,7 @@ import numpy as np
 
 from repro.errors import ScenarioError
 from repro.obs.trace import NULL_TRACER
-from repro.core.aggregator import (
-    AxisStatistics,
-    MergeableAxisStats,
-    ResultAggregator,
-)
+from repro.core.aggregator import AxisStatistics, ResultAggregator
 from repro.core.fingerprint.correlation import CorrelationPolicy
 from repro.core.fingerprint.fingerprint import FingerprintSpec
 from repro.core.fingerprint.registry import FingerprintRegistry
@@ -659,14 +655,6 @@ class PointEvaluator:
     with any callable of the same signature — the serve scheduler passes one
     that routes each round through its job queue, so the dispatcher and
     resilience ladder apply unchanged per round.
-
-    Alongside each round's (exact, SQL-produced) statistics the evaluator
-    Chan-merges each round's fresh sample *increment* into
-    :class:`~repro.core.aggregator.MergeableAxisStats` — the bit-exact
-    mergeable moments that let tests pin the round decomposition against
-    one-shot evaluation (``moments_complete`` goes ``False`` when a round's
-    samples were served from a result cache that strips matrices, in which
-    case ``moments`` is partial and only ``statistics`` is authoritative).
     """
 
     def __init__(
@@ -692,8 +680,6 @@ class PointEvaluator:
         self.rounds: list[RoundResult] = []
         self.worlds_spent = 0
         self.converged = False
-        self.moments: Optional[MergeableAxisStats] = None
-        self.moments_complete = True
 
     # -- protocol -----------------------------------------------------------
 
@@ -751,7 +737,6 @@ class PointEvaluator:
             evaluation = self._evaluate(
                 self.point, worlds=range(prefix), reuse=self.reuse
             )
-            self._accumulate_moments(evaluation, previous, prefix)
             ci = max_ci_halfwidth(evaluation.statistics, self.z)
             converged = self.target_ci is not None and ci <= self.target_ci
             span.set(max_ci=ci, converged=converged)
@@ -773,30 +758,3 @@ class PointEvaluator:
         while not self.finished:
             self.step()
         return self.rounds[-1].evaluation
-
-    # -- mergeable moments --------------------------------------------------
-
-    def _accumulate_moments(
-        self, evaluation: PointEvaluation, previous: int, prefix: int
-    ) -> None:
-        """Chan-merge this round's sample increment ``[previous, prefix)``.
-
-        Result-cache hits ship statistics without sample matrices; such a
-        round cannot contribute its increment, so the accumulated moments
-        are marked incomplete rather than silently wrong.
-        """
-        if not evaluation.samples:
-            self.moments_complete = False
-            return
-        increment = {
-            alias: np.asarray(matrix)[previous:prefix]
-            for alias, matrix in evaluation.samples.items()
-        }
-        if any(matrix.shape[0] != prefix - previous for matrix in increment.values()):
-            self.moments_complete = False
-            return
-        stats = MergeableAxisStats.from_matrices(increment)
-        if self.moments is None:
-            self.moments = stats
-        else:
-            self.moments.merge(stats)

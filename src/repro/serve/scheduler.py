@@ -10,10 +10,7 @@ scheduler:
   onto it and receives the same result when it completes;
 * drives every evaluation through the shared
   :class:`~repro.serve.service.EvaluationService`, so all sessions benefit
-  from the same coordinator reuse layers, shard pool, and result cache;
-* rolls sweep results up into mergeable week-axis aggregates
-  (:class:`~repro.core.aggregator.MergeableAxisStats`), merged point by
-  point exactly as shard statistics merge.
+  from the same coordinator reuse layers, shard pool, and result cache.
 
 Execution is synchronous and deterministic: ``run_pending`` drains the
 queue in FIFO order (the parallelism lives below, in the service's shard
@@ -29,7 +26,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.core.aggregator import MergeableAxisStats
 from repro.core.engine import PointEvaluation, PointEvaluator
 from repro.core.rounds import RoundPlan
 from repro.errors import ServeError, TransientServeError
@@ -80,13 +76,11 @@ class Job:
 
 @dataclass
 class SweepJob:
-    """A grid sweep: one member job per point, plus merged aggregates."""
+    """A grid sweep: one member job per point."""
 
     id: int
     session: str
     jobs: list[Job] = field(default_factory=list)
-    _aggregate: Optional[MergeableAxisStats] = field(default=None, repr=False)
-    _aggregated_points: int = field(default=0, repr=False)
 
     @property
     def done(self) -> bool:
@@ -94,37 +88,6 @@ class SweepJob:
 
     def evaluations(self) -> list[PointEvaluation]:
         return [job.result for job in self.jobs if job.result is not None]
-
-    @property
-    def aggregate(self) -> Optional[MergeableAxisStats]:
-        """Week-axis moments merged over the finished member evaluations.
-
-        Computed lazily on first access (exact summation is pure Python —
-        sweeps that never read the aggregate pay nothing) over every
-        evaluation that carried sample matrices; result-cache hits ship no
-        samples and are skipped, :attr:`aggregated_points` says how many
-        contributed.
-        """
-        if self._aggregate is None and self.done:
-            merged: Optional[MergeableAxisStats] = None
-            contributed = 0
-            for job in self.jobs:
-                if job.result is None or not job.result.samples:
-                    continue
-                stats = MergeableAxisStats.from_matrices(job.result.samples)
-                if merged is None:
-                    merged = stats
-                else:
-                    merged.merge(stats)
-                contributed += 1
-            self._aggregate = merged
-            self._aggregated_points = contributed
-        return self._aggregate
-
-    @property
-    def aggregated_points(self) -> int:
-        self.aggregate  # noqa: B018 — force the lazy computation
-        return self._aggregated_points
 
 
 @dataclass

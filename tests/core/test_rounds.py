@@ -3,8 +3,9 @@
 Pins the PR 8 contracts: world-prefix rounds are exact (the final round is
 bitwise identical to one-shot evaluation), the stopping rule is a pure
 function of statistics, the legacy RefinementPlan / ConvergenceTracker
-spellings still resolve (with a DeprecationWarning), and the ci_halfwidth
-guard agrees with the exact mergeable moments under any merge order.
+spellings still resolve (with a DeprecationWarning), rounds compose into
+the one-shot world prefix, and the ci_halfwidth guard agrees with the
+numpy sample standard deviation.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregator import (
-    AxisStatistics,
-    MergeableAxisStats,
-    MergeableMoments,
-    SeriesStats,
-)
+from repro.core.aggregator import AxisStatistics, ResultAggregator, SeriesStats
 from repro.core.engine import PointEvaluator, ProphetConfig, ProphetEngine
 from repro.core.rounds import (
     ConvergenceTracker,
@@ -144,36 +140,15 @@ class TestCiHalfwidthGuard:
             min_size=2,
             max_size=40,
         ),
-        split=st.integers(min_value=0, max_value=40),
-        swap=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_halfwidth_matches_mergeable_moments_any_merge_order(
-        self, values, split, swap
-    ):
-        """ci_halfwidth equals z*sqrt(exact variance)/sqrt(n), and the exact
-        variance is bit-identical under any partition / merge order."""
-        split = min(split, len(values))
-        left, right = MergeableMoments(), MergeableMoments()
-        left.add_many(values[:split])
-        right.add_many(values[split:])
-        if swap:
-            right.merge(left)
-            merged = right
-        else:
-            left.merge(right)
-            merged = left
-        whole = MergeableMoments()
-        whole.add_many(values)
-        assert merged.variance() == whole.variance()  # bitwise, exact sums
-
-        series = SeriesStats(
-            alias="x",
-            expectation=np.array([whole.mean]),
-            stddev=np.array([whole.stddev()]),
-            n_worlds=len(values),
+    def test_halfwidth_matches_numpy_sample_stddev(self, values):
+        """ci_halfwidth equals z * sample stddev / sqrt(n)."""
+        statistics = ResultAggregator(["x"]).from_sample_matrices(
+            {"x": np.asarray(values, dtype=float).reshape(-1, 1)}, axis_values=[0]
         )
-        expected = 1.96 * whole.stddev() / math.sqrt(len(values))
+        series = statistics.series["x"]
+        expected = 1.96 * np.std(values, ddof=1) / math.sqrt(len(values))
         assert float(series.ci_halfwidth()[0]) == pytest.approx(
             expected, rel=1e-12, abs=1e-300
         )
@@ -291,63 +266,23 @@ class TestPointEvaluator:
         assert evaluator.worlds_spent == 20
         assert evaluator.max_ci > 1e-12
 
-    def test_moments_accumulate_increments_exactly(self, rounds_engine):
+    def test_rounds_compose_into_oneshot_prefix(self, rounds_engine):
+        """Every round's samples are the one-shot samples' world prefix."""
         evaluator = PointEvaluator(rounds_engine, self.POINT)
-        final = evaluator.run()
-        assert evaluator.moments_complete
-        assert evaluator.moments is not None
-        merged = evaluator.moments.to_axis_statistics(
-            final.statistics.axis_values
-        )
-        assert merged.n_worlds == 20
-        # Sample matrices exist for the VG-sampled outputs (derived
-        # expressions have none); the Chan-merged increments must agree with
-        # the SQL-produced statistics for every sampled alias.
-        assert set(evaluator.moments.aliases) == set(final.samples)
-        for alias in evaluator.moments.aliases:
-            np.testing.assert_allclose(
-                merged.expectation(alias),
-                final.statistics.expectation(alias),
-                rtol=1e-12,
-            )
-            np.testing.assert_allclose(
-                merged.stddev(alias),
-                final.statistics.stddev(alias),
-                rtol=1e-9,
-                atol=1e-12,
-            )
-
-    def test_moments_incomplete_when_samples_missing(self, rounds_engine):
-        from dataclasses import replace
-
-        def stripping_evaluate(point, *, worlds, reuse=True, sampler=None):
-            evaluation = rounds_engine.evaluate_point(
-                point, worlds=worlds, reuse=reuse
-            )
-            return replace(evaluation, samples={})
-
-        evaluator = PointEvaluator(
-            rounds_engine, self.POINT, evaluate=stripping_evaluate
-        )
         evaluator.run()
-        assert not evaluator.moments_complete
-        assert evaluator.result is not None
 
-    def test_merge_order_independence_of_increments(self, rounds_engine):
-        """Chan-merging per-round increments equals one whole-prefix batch."""
-        evaluator = PointEvaluator(rounds_engine, self.POINT)
-        final = evaluator.run()
-        whole = MergeableAxisStats.from_matrices(
-            {
-                alias: np.asarray(matrix)
-                for alias, matrix in final.samples.items()
-            }
+        scenario, library = build_risk_vs_cost(purchase_step=16)
+        fresh = ProphetEngine(
+            scenario, library, ProphetConfig(n_worlds=20, refinement_first=5)
         )
-        assert evaluator.moments is not None
-        for alias in whole.aliases:
-            for week in range(whole.n_weeks):
-                a = whole.moments(alias, week)
-                b = evaluator.moments.moments(alias, week)
-                assert a.count == b.count
-                assert a.mean == b.mean  # exact sums: bitwise equality
-                assert a.variance() == b.variance()
+        oneshot = fresh.evaluate_point(self.POINT, worlds=range(20))
+        assert oneshot.samples
+        for round_ in evaluator.rounds:
+            samples = round_.evaluation.samples
+            assert set(samples) == set(oneshot.samples)
+            for alias, matrix in oneshot.samples.items():
+                prefix = round_.worlds_total
+                assert (
+                    np.asarray(samples[alias])[:prefix].tobytes()
+                    == np.asarray(matrix)[:prefix].tobytes()
+                )

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.aggregator import MergeableAxisStats
 from repro.core.offline import OfflineOptimizer
 from repro.core.online import OnlineSession
 from repro.dsl import parse_scenario
@@ -64,26 +63,6 @@ class TestSweeps:
         scheduler.run_pending()
         assert sweep.done
         assert len(sweep.evaluations()) == 18
-
-    def test_sweep_aggregate_merges_point_moments(self, scheduler):
-        points = [POINT, OTHER_POINT]
-        sweep = scheduler.submit_sweep(points, worlds=range(8))
-        scheduler.run_pending()
-        assert sweep.aggregated_points == 2
-        expected = None
-        for evaluation in sweep.evaluations():
-            stats = MergeableAxisStats.from_matrices(evaluation.samples)
-            if expected is None:
-                expected = stats
-            else:
-                expected.merge(stats)
-        merged = sweep.aggregate.to_axis_statistics()
-        reference = expected.to_axis_statistics()
-        for alias in reference.aliases():
-            assert (
-                merged.expectation(alias).tobytes()
-                == reference.expectation(alias).tobytes()
-            )
 
     def test_empty_sweep_rejected(self, scheduler):
         with pytest.raises(ServeError, match="no points"):
